@@ -1,77 +1,69 @@
-//! Hot-path audit: wall time *and* allocations per simulated delivery for
-//! the fabric's two flagship workloads, plus a CI assertion mode.
+//! Hot-path audit: wall time, simulator work *and* allocations per
+//! simulated delivery for the fabric's two flagship workloads, plus a CI
+//! assertion mode.
 //!
 //! ```text
 //! cargo run --release -p ringnet-bench --bin hotpath            # report
 //! cargo run --release -p ringnet-bench --bin hotpath -- check   # CI gate
 //! ```
 //!
-//! `check` asserts `allocs_per_delivery` stays within the pinned golden
-//! tolerances below, so an allocation regression on the sim path fails the
-//! build even when wall time is too noisy to trip anything.
+//! `check` asserts that events, timers, wire packets and allocator calls
+//! per delivery stay within the pinned ceilings of
+//! [`ringnet_bench::suites::WORK_CEILINGS`], so a regression in simulator
+//! work or a new allocation on the sim path fails the build even when wall
+//! time is too noisy to trip anything. All four counts are deterministic:
+//! they read the same on every machine.
 
 use ringnet_bench::alloc::CountingAlloc;
-use ringnet_bench::suites::hotpath_scenarios;
+use ringnet_bench::suites::{hotpath_scenarios, WORK_CEILINGS};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Pinned golden ceilings for `allocs_per_delivery` (calls, not bytes).
-/// Measured after the copy-free fabric work: 0.119 (128-walker second,
-/// down from 1.562) and 0.336 (multigroup R=4, down from 3.323).
-/// Regenerate with `hotpath` after deliberate changes; keep a comfortable
-/// margin (~30%) over the measured value so noise never trips the gate,
-/// while a restored per-delivery clone or a new per-event allocation —
-/// always ≥ 1.0 per delivery — still does.
-const GOLDEN_MAX_ALLOCS_PER_DELIVERY: &[(&str, f64)] = &[
-    ("ringnet_128_walkers_one_sim_second", 0.16),
-    ("multigroup_throughput_rings_4", 0.45),
-];
 
 fn main() {
     let check = std::env::args().any(|a| a == "check");
     let rows = hotpath_scenarios();
     println!(
-        "{:<42} {:>12} {:>12} {:>14} {:>16}",
-        "scenario", "wall_ms", "delivered", "allocs/deliv", "alloc_kb/deliv"
+        "{:<38} {:>9} {:>9} {:>10} {:>10} {:>10} {:>12} {:>14}",
+        "scenario",
+        "wall_ms",
+        "delivered",
+        "events/d",
+        "timers/d",
+        "packets/d",
+        "allocs/d",
+        "alloc_kb/d"
     );
     let mut failures = Vec::new();
     for row in &rows {
         println!(
-            "{:<42} {:>12.2} {:>12} {:>14.3} {:>16.3}",
+            "{:<38} {:>9.2} {:>9} {:>10.4} {:>10.4} {:>10.4} {:>12.3} {:>14.3}",
             row.name,
             row.wall_ms,
             row.delivered,
+            row.events_per_delivery,
+            row.timers_per_delivery,
+            row.wire_packets_per_delivery,
             row.allocs_per_delivery,
             row.alloc_bytes_per_delivery / 1024.0
         );
         if check {
-            if let Some(&(_, max)) = GOLDEN_MAX_ALLOCS_PER_DELIVERY
-                .iter()
-                .find(|(n, _)| *n == row.name)
-            {
-                if row.allocs_per_delivery > max {
-                    failures.push(format!(
-                        "{}: {:.3} allocs/delivery exceeds the pinned ceiling {:.3}",
-                        row.name, row.allocs_per_delivery, max
-                    ));
-                }
-            }
+            failures.extend(row.ceiling_breaches());
         }
     }
     if check {
-        for &(name, _) in GOLDEN_MAX_ALLOCS_PER_DELIVERY {
-            if !rows.iter().any(|r| r.name == name) {
-                failures.push(format!("pinned scenario {name} was not measured"));
+        for c in WORK_CEILINGS {
+            if !rows.iter().any(|r| r.name == c.name) {
+                failures.push(format!("pinned scenario {} was not measured", c.name));
             }
         }
         if !failures.is_empty() {
-            eprintln!("allocation audit FAILED:");
+            eprintln!("hot-path work audit FAILED:");
             for f in &failures {
                 eprintln!("  {f}");
             }
             std::process::exit(1);
         }
-        println!("allocation audit clean ({} scenarios)", rows.len());
+        println!("hot-path work audit clean ({} scenarios)", rows.len());
     }
 }

@@ -136,12 +136,17 @@ impl Runner {
                 let sep = if i + 1 < hotpath.len() { "," } else { "" };
                 out.push_str(&format!(
                     "    {{\"name\": {}, \"wall_ms\": {:.2}, \"delivered\": {}, \
-                     \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}}}{sep}\n",
+                     \"allocs_per_delivery\": {:.3}, \"alloc_bytes_per_delivery\": {:.1}, \
+                     \"events_per_delivery\": {:.4}, \"timers_per_delivery\": {:.4}, \
+                     \"wire_packets_per_delivery\": {:.4}}}{sep}\n",
                     json::string(&h.name),
                     h.wall_ms,
                     h.delivered,
                     h.allocs_per_delivery,
                     h.alloc_bytes_per_delivery,
+                    h.events_per_delivery,
+                    h.timers_per_delivery,
+                    h.wire_packets_per_delivery,
                 ));
             }
             out.push_str("  ]");
@@ -208,10 +213,14 @@ mod tests {
             delivered: 1000,
             allocs_per_delivery: 0.119,
             alloc_bytes_per_delivery: 166.0,
+            events_per_delivery: 1.25,
+            timers_per_delivery: 0.34,
+            wire_packets_per_delivery: 1.85,
         }];
         let json = r.to_json_with_hotpath(&rows);
         assert!(json.contains("\"hotpath\": ["));
         assert!(json.contains("\"allocs_per_delivery\": 0.119"));
+        assert!(json.contains("\"events_per_delivery\": 1.2500"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

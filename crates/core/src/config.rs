@@ -15,8 +15,12 @@ pub struct ProtocolConfig {
     /// each top-ring node scans its `WQ` against the kept tokens and copies
     /// newly-ordered messages into its `MQ`.
     pub order_assign_period: SimDuration,
-    /// Period of the hop-maintenance tick driving retransmission requests
-    /// (NACKs), cumulative ACKs and token retransfer checks.
+    /// Grid of the hop-maintenance tick driving retransmission requests
+    /// (NACKs), cumulative ACKs and token retransfer checks. Ring members
+    /// (BRs, AGs) tick on every grid point. Leaves (walkers and leaf APs)
+    /// tick on grid points only while their stream has a gap or has
+    /// stalled; a gap-free flowing stream is acked from the data path
+    /// instead (see [`crate::upkeep`]).
     pub hop_tick: SimDuration,
     /// How many hop ticks a missing message may stay `Waiting` before each
     /// NACK, i.e. NACKs are sent every `hop_tick` while waiting.
@@ -24,7 +28,10 @@ pub struct ProtocolConfig {
     /// `Received = false`, `Waiting = false`, and per the paper it is then
     /// considered delivered (skipped).
     pub nack_budget: u8,
-    /// Cumulative ACK is sent upstream every `ack_every` hop ticks.
+    /// A cumulative ACK goes upstream at most once per `ack_every` hop
+    /// ticks (the *ack period*, [`ProtocolConfig::ack_period`]). Ring
+    /// members and ticking leaves ack once per period; a flowing leaf acks
+    /// from its data path, once per period and only when its front moved.
     pub ack_every: u8,
     /// Capacity `MaxNo` of each entity's `MQ` (slots).
     pub mq_capacity: usize,
@@ -36,7 +43,11 @@ pub struct ProtocolConfig {
     /// Give up resending the token after this many attempts (the membership
     /// layer's Token-Loss path then takes over).
     pub token_retry_budget: u8,
-    /// Heartbeat period for ring-neighbour and parent/child liveness.
+    /// Heartbeat period for ring-neighbour and parent/child liveness. A
+    /// walker's cumulative ACKs double as its liveness signal, so it sends
+    /// a heartbeat only after a whole period in which it sent its AP
+    /// nothing else. The heartbeat tick is also where a leaf notices, at
+    /// the latest, that its stream has stalled.
     pub heartbeat_period: SimDuration,
     /// Declare a neighbour dead after missing this many heartbeats.
     pub heartbeat_misses: u8,
@@ -111,6 +122,13 @@ impl ProtocolConfig {
         self.record_ne_progress = false;
         self.stats_sample_period = SimDuration::ZERO;
         self
+    }
+
+    /// The ack period: `ack_every` hop ticks. Cumulative ACKs go upstream
+    /// at most once per period, and a leaf whose stream brought no data
+    /// for a whole period counts it as stalled.
+    pub fn ack_period(&self) -> SimDuration {
+        self.hop_tick * self.ack_every as u64
     }
 
     /// Builder-style override of the Order-Assignment period `τ`.

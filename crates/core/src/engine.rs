@@ -3,15 +3,19 @@
 //! joins, teardown statistics).
 //!
 //! All protocol logic lives in the sans-IO state machines; the actors here
-//! only translate [`Action`]s into simulator calls and drive the periodic
-//! timers. Address translation between protocol identities
-//! ([`NodeId`]/[`Guid`]) and simulator addresses ([`NodeAddr`]) goes through
-//! one immutable [`AddrMap`] shared by every actor.
+//! only translate [`Action`]s into simulator calls and drive the timers:
+//! periodic chains for ring members, and a demand-driven hop tick for the
+//! leaves (walkers and leaf APs), armed on the actor's hop-tick grid only
+//! while a state asks for it (see [`crate::upkeep`]). Address translation
+//! between protocol identities ([`NodeId`]/[`Guid`]) and simulator
+//! addresses ([`NodeAddr`]) goes through one immutable [`AddrMap`] shared
+//! by every actor.
 
 use std::sync::{Arc, Mutex};
 
 use simnet::{
     Actor, Ctx, LinkProfile, NetOps, NodeAddr, ShardedSim, Sim, SimDuration, SimStats, SimTime,
+    TimerHandle,
 };
 
 use crate::actions::{Action, Outbox};
@@ -209,6 +213,51 @@ pub fn inject_control_replay<N: NetOps<Msg> + ?Sized>(
 
 // ---------------------------------------------------------------- actors
 
+/// A leaf actor's demand-driven hop tick: at most one pending tick, always
+/// on the grid `origin + k × hop_tick`, so a gap is NACKed at the instant a
+/// periodic tick started at `origin` would have NACKed it. A pending tick
+/// whose need went away (the gap filled, the stream resumed) is cancelled
+/// rather than left to fire idle: wireless jitter reorders sibling
+/// messages often, and each reorder opens a gap for a moment.
+#[derive(Debug)]
+struct DemandTick {
+    origin: SimTime,
+    pending: Option<TimerHandle>,
+}
+
+impl DemandTick {
+    fn new(origin: SimTime) -> Self {
+        DemandTick {
+            origin,
+            pending: None,
+        }
+    }
+
+    /// Arm the next grid point when `needed` and none is pending; cancel a
+    /// pending one when not.
+    fn update(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg, ProtoEvent>,
+        needed: bool,
+        hop_tick: SimDuration,
+        tag: u64,
+    ) {
+        match (needed, self.pending.is_some()) {
+            (true, false) => {
+                let now = ctx.now();
+                let at = crate::upkeep::next_grid_point(self.origin, now, hop_tick);
+                self.pending = Some(ctx.set_timer(at.saturating_since(now), tag));
+            }
+            (false, true) => {
+                if let Some(h) = self.pending.take() {
+                    ctx.cancel_timer(h);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Whether a message may legally address the emitting node itself: only
 /// the fence paths do (a sequencer co-located with an addressed group's
 /// funnel). There is no self-link in the mesh, so the actor re-dispatches
@@ -232,6 +281,9 @@ struct NeActor {
     dst_buf: Vec<NodeAddr>,
     /// Whether the state at each position originates its group's token.
     originate: Vec<bool>,
+    /// The demand-driven hop tick of a leaf AP; `None` for ring members,
+    /// whose hop tick is a periodic chain.
+    demand_hop: Option<DemandTick>,
     /// Crash-restart generation, encoded into every periodic-timer tag
     /// (`base | gen << 3`). Pending pre-crash timers survive in the event
     /// queue across a revival; their stale generation makes them fall dead
@@ -259,10 +311,16 @@ impl NeActor {
     }
 
     /// Arm the periodic tick chains (start-up and crash-restart revival).
-    /// One chain per node, not per group: each tick walks every state.
+    /// One chain per node, not per group: each tick walks every state. A
+    /// leaf AP's hop tick is not a chain: its grid starts here and ticks
+    /// are armed on demand ([`NeActor::update_demand_hop`]).
     fn arm_periodic(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let cfg = &self.states[0].cfg;
-        ctx.set_timer(cfg.hop_tick, self.tag(TAG_HOP));
+        if self.states[0].is_leaf() {
+            self.demand_hop = Some(DemandTick::new(ctx.now()));
+        } else {
+            ctx.set_timer(cfg.hop_tick, self.tag(TAG_HOP));
+        }
         ctx.set_timer(cfg.heartbeat_period, self.tag(TAG_HEARTBEAT));
         if self.states[0].is_top_ring() {
             ctx.set_timer(cfg.order_assign_period, self.tag(TAG_ORDER_ASSIGN));
@@ -270,6 +328,18 @@ impl NeActor {
         if !cfg.stats_sample_period.is_zero() {
             ctx.set_timer(cfg.stats_sample_period, self.tag(TAG_STATS));
         }
+    }
+
+    /// Leaf AP: keep a grid tick pending exactly while some state's
+    /// stream has a gap or has stalled.
+    fn update_demand_hop(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        let tag = self.tag(TAG_HOP);
+        let Some(hop) = self.demand_hop.as_mut() else {
+            return;
+        };
+        let now = ctx.now();
+        let needed = self.states.iter().any(|s| s.needs_hop_tick(now));
+        hop.update(ctx, needed, self.states[0].cfg.hop_tick, tag);
     }
 
     /// Route one inbound message: entity-wide faults fan out to every
@@ -424,6 +494,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
             self.timer_gen += 1;
             self.arm_periodic(ctx);
         }
+        self.update_demand_hop(ctx);
         self.flush(ctx);
     }
 
@@ -445,15 +516,25 @@ impl Actor<Msg, ProtoEvent> for NeActor {
                 let period = self.states[0].cfg.order_assign_period;
                 ctx.set_timer(period, self.tag(TAG_ORDER_ASSIGN));
             }
-            TAG_HOP => {
-                for st in &mut self.states {
-                    if st.alive {
-                        st.tick_hop(now, &mut self.out);
+            TAG_HOP => match self.demand_hop.as_mut() {
+                None => {
+                    for st in &mut self.states {
+                        if st.alive {
+                            st.tick_hop(now, &mut self.out);
+                        }
+                    }
+                    let period = self.states[0].cfg.hop_tick;
+                    ctx.set_timer(period, self.tag(TAG_HOP));
+                }
+                Some(hop) => {
+                    hop.pending = None;
+                    for st in &mut self.states {
+                        if st.needs_hop_tick(now) {
+                            st.tick_hop(now, &mut self.out);
+                        }
                     }
                 }
-                let period = self.states[0].cfg.hop_tick;
-                ctx.set_timer(period, self.tag(TAG_HOP));
-            }
+            },
             TAG_HEARTBEAT => {
                 for st in &mut self.states {
                     if st.alive {
@@ -479,6 +560,7 @@ impl Actor<Msg, ProtoEvent> for NeActor {
             }
             _ => {}
         }
+        self.update_demand_hop(ctx);
         self.flush(ctx);
     }
 }
@@ -490,11 +572,22 @@ struct MhActor {
     map: Arc<AddrMap>,
     out: Outbox,
     initial_ap: Option<NodeId>,
+    /// The demand-driven hop tick; its grid starts when the actor starts.
+    hop: DemandTick,
 }
 
 impl MhActor {
     fn any_alive(&self) -> bool {
         self.states.iter().any(|s| s.alive)
+    }
+
+    /// Keep a grid tick pending exactly while some subscription's stream
+    /// has a gap or has stalled.
+    fn update_demand_hop(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
+        let now = ctx.now();
+        let needed = self.states.iter().any(|s| s.needs_hop_tick(now));
+        self.hop
+            .update(ctx, needed, self.states[0].cfg.hop_tick, TAG_HOP);
     }
 
     /// Route one inbound message: radio-level commands concern the whole
@@ -553,7 +646,7 @@ impl MhActor {
 impl Actor<Msg, ProtoEvent> for MhActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, ProtoEvent>) {
         let now = ctx.now();
-        ctx.set_timer(self.states[0].cfg.hop_tick, TAG_HOP);
+        self.hop = DemandTick::new(now);
         ctx.set_timer(self.states[0].cfg.heartbeat_period, TAG_HEARTBEAT);
         if let Some(ap) = self.initial_ap {
             for st in &mut self.states {
@@ -567,6 +660,7 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         let from_ep = self.map.endpoint_of(from);
         let now = ctx.now();
         self.deliver(now, from_ep, msg);
+        self.update_demand_hop(ctx);
         self.flush(ctx);
     }
 
@@ -577,12 +671,12 @@ impl Actor<Msg, ProtoEvent> for MhActor {
         let now = ctx.now();
         match tag {
             TAG_HOP => {
+                self.hop.pending = None;
                 for st in &mut self.states {
-                    if st.alive {
+                    if st.needs_hop_tick(now) {
                         st.tick_hop(now, &mut self.out);
                     }
                 }
-                ctx.set_timer(self.states[0].cfg.hop_tick, TAG_HOP);
             }
             TAG_HEARTBEAT => {
                 for st in &mut self.states {
@@ -594,6 +688,7 @@ impl Actor<Msg, ProtoEvent> for MhActor {
             }
             _ => {}
         }
+        self.update_demand_hop(ctx);
         self.flush(ctx);
     }
 }
@@ -702,6 +797,7 @@ pub fn boxed_multi_ne_actor(
         out: Vec::with_capacity(32),
         dst_buf: Vec::new(),
         originate,
+        demand_hop: None,
         timer_gen: 0,
         bank: None,
     })
@@ -729,6 +825,7 @@ pub fn boxed_multi_mh_actor(
         map,
         out: Vec::with_capacity(16),
         initial_ap,
+        hop: DemandTick::new(SimTime::ZERO),
     })
 }
 
@@ -914,6 +1011,7 @@ fn assemble(
             out: Vec::with_capacity(32),
             dst_buf: Vec::new(),
             originate,
+            demand_hop: None,
             timer_gen: 0,
             bank: bank.cloned(),
         }));
@@ -939,6 +1037,7 @@ fn assemble(
                 out: Vec::with_capacity(32),
                 dst_buf: Vec::new(),
                 originate: vec![false; groups.len()],
+                demand_hop: None,
                 timer_gen: 0,
                 bank: bank.cloned(),
             }));
@@ -964,6 +1063,7 @@ fn assemble(
             out: Vec::with_capacity(32),
             dst_buf: Vec::new(),
             originate: vec![false; groups.len()],
+            demand_hop: None,
             timer_gen: 0,
             bank: bank.cloned(),
         }));
@@ -995,6 +1095,7 @@ fn assemble(
             map: Arc::clone(&map),
             out: Vec::with_capacity(16),
             initial_ap: mh.initial_ap,
+            hop: DemandTick::new(SimTime::ZERO),
         }));
     }
 
@@ -1524,6 +1625,100 @@ mod tests {
             last_ordered > SimTime::from_secs(1),
             "ordering survived the failure"
         );
+    }
+
+    /// A loss-free 400 msg/s stream under a 3-BR top ring and two AG
+    /// rings with one AP each, `walkers` walkers per AP.
+    fn steady_spec(walkers: usize) -> HierarchySpec {
+        HierarchyBuilder::new(GroupId(1))
+            .brs(3)
+            .ag_rings(2, 2)
+            .aps_per_ag(1)
+            .mhs_per_ap(walkers)
+            .sources(2)
+            .source_pattern(TrafficPattern::Cbr {
+                interval: SimDuration::from_millis(5),
+            })
+            .build()
+    }
+
+    #[test]
+    fn flowing_walkers_schedule_no_hop_ticks() {
+        // Timers fired in the steady window (1 s, 3 s] with one and with
+        // three walkers per AP: the eight extra walkers add their
+        // heartbeat chains (20/s each) and — the stream flowing gap-free —
+        // next to no hop ticks. A per-grid hop tick would add 200/s each.
+        let window = |walkers: usize| {
+            let mut net = RingNetSim::build(steady_spec(walkers), 1);
+            net.run_until(SimTime::from_secs(1));
+            let before = net.stats();
+            net.run_until(SimTime::from_secs(3));
+            let after = net.stats();
+            let (journal, _) = net.finish();
+            let delivered = journal
+                .iter()
+                .filter(|(_, e)| matches!(e, ProtoEvent::MhDeliver { .. }))
+                .count();
+            (after.timers_fired - before.timers_fired, delivered)
+        };
+        let (one, delivered_one) = window(1);
+        let (three, delivered_three) = window(3);
+        assert_eq!(
+            delivered_three,
+            3 * delivered_one,
+            "every walker got everything"
+        );
+        let extra_walkers = 8;
+        let heartbeats = extra_walkers * 20 * 2;
+        let per_grid = extra_walkers * 200 * 2;
+        let extra = three - one;
+        assert!(
+            extra >= heartbeats && extra < heartbeats + per_grid / 20,
+            "{extra} timers for {extra_walkers} extra walkers \
+             (heartbeats alone: {heartbeats}, per-grid ticks: {per_grid})"
+        );
+    }
+
+    #[test]
+    fn restarted_ap_reregisters_its_acking_walkers() {
+        let mut spec = small_spec();
+        for s in &mut spec.sources {
+            s.limit = Some(200);
+        }
+        let ap = spec.aps[0].id;
+        let walker = spec
+            .mhs
+            .iter()
+            .find(|m| m.initial_ap == Some(ap))
+            .unwrap()
+            .guid;
+        let mut net = RingNetSim::build(spec, 4);
+        let restart = SimTime::from_millis(1_200);
+        net.schedule_kill_ne(SimTime::from_secs(1), ap);
+        net.schedule_restart_ne(restart, ap);
+        net.run_until(SimTime::from_secs(5));
+        let (journal, _) = net.finish();
+        // The amnesiac AP learns of the walker from its acks and asks it
+        // to register again; delivery then resumes.
+        let reregistered = journal.iter().find_map(|(t, e)| match e {
+            ProtoEvent::HandoffRegistered { mh, ap: at, .. } if *mh == walker && *at == ap => {
+                Some(*t)
+            }
+            _ => None,
+        });
+        let t = reregistered.expect("walker re-registered at the restarted AP");
+        assert!(
+            t >= restart && t < restart + SimDuration::from_millis(100),
+            "at {t:?}"
+        );
+        let late = journal
+            .iter()
+            .filter(|(t, e)| {
+                *t > restart + SimDuration::from_millis(500)
+                    && matches!(e, ProtoEvent::MhDeliver { mh, .. } if *mh == walker)
+            })
+            .count();
+        assert!(late > 0, "delivery resumed after the restart");
     }
 
     /// Per-MH delivered GSN sequences — the semantic equivalence surface

@@ -36,8 +36,14 @@ impl NeState {
         data: MsgData,
         out: &mut Outbox,
     ) {
+        self.upkeep.on_data(now);
         match self.mq.insert(gsn, data) {
-            InsertOutcome::Stored => self.drive_delivery(now, out),
+            InsertOutcome::Stored => {
+                self.drive_delivery(now, out);
+                if self.is_leaf() {
+                    self.ack_progress(now, out);
+                }
+            }
             InsertOutcome::Duplicate | InsertOutcome::Stale => {
                 self.counters.duplicates += 1;
             }
@@ -104,8 +110,17 @@ impl NeState {
         }
     }
 
-    /// Cumulative ordered-stream ACK from a downstream hop.
-    pub(crate) fn on_data_ack(&mut self, now: SimTime, from: Endpoint, upto: GlobalSeq) {
+    /// Cumulative ordered-stream ACK from a downstream hop. A walker's
+    /// ACKs are its liveness signal at the AP; one the AP does not know
+    /// (crash-restart amnesia, or a registration lost on the wireless hop)
+    /// is asked to register again, as the heartbeat path does.
+    pub(crate) fn on_data_ack(
+        &mut self,
+        now: SimTime,
+        from: Endpoint,
+        upto: GlobalSeq,
+        out: &mut Outbox,
+    ) {
         match from {
             Endpoint::Ne(n) => {
                 if let std::collections::btree_map::Entry::Occupied(mut e) = self.children.entry(n)
@@ -120,9 +135,12 @@ impl NeState {
                 }
             }
             Endpoint::Mh(guid) => {
-                if let Some(ap) = self.ap.as_mut() {
-                    ap.wt.ack(guid, upto);
+                let Some(ap) = self.ap.as_mut() else { return };
+                if ap.wt.ack(guid, upto) {
                     ap.last_heard.insert(guid, now);
+                } else {
+                    out.push(Action::to_mh(guid, Msg::ReRegister { group: self.group }));
+                    self.counters.control_sent += 1;
                 }
             }
         }
@@ -330,6 +348,7 @@ mod tests {
             SimTime::from_millis(1),
             Endpoint::Ne(NodeId(100)),
             GlobalSeq(4),
+            &mut Vec::new(),
         );
         assert_eq!(n20.wt_children.progress(NodeId(100)), Some(GlobalSeq(4)));
         // Ack from ring next (30).
@@ -337,6 +356,7 @@ mod tests {
             SimTime::from_millis(1),
             Endpoint::Ne(NodeId(30)),
             GlobalSeq(2),
+            &mut Vec::new(),
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
         // Stale ring ack ignored.
@@ -344,8 +364,42 @@ mod tests {
             SimTime::from_millis(2),
             Endpoint::Ne(NodeId(30)),
             GlobalSeq(1),
+            &mut Vec::new(),
         );
         assert_eq!(n20.ring.as_ref().unwrap().next_acked_mq, GlobalSeq(2));
+    }
+
+    #[test]
+    fn unknown_mh_ack_solicits_reregistration_not_liveness() {
+        let mut ap = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        let mut out = Vec::new();
+        ap.on_data_ack(SimTime::ZERO, Endpoint::Mh(Guid(7)), GlobalSeq(3), &mut out);
+        let a = ap.ap.as_ref().unwrap();
+        assert!(a.last_heard.is_empty(), "phantom last-heard entry");
+        assert!(a.wt.is_empty());
+        assert!(matches!(
+            out[..],
+            [Action::Send {
+                to: Endpoint::Mh(Guid(7)),
+                msg: Msg::ReRegister { .. }
+            }]
+        ));
+        // A registered MH's ack is progress and liveness, and gets no reply.
+        ap.on_join(SimTime::ZERO, Guid(7), &mut Vec::new());
+        out.clear();
+        let t = SimTime::from_millis(9);
+        ap.on_data_ack(t, Endpoint::Mh(Guid(7)), GlobalSeq(3), &mut out);
+        let a = ap.ap.as_ref().unwrap();
+        assert_eq!(a.wt.progress(Guid(7)), Some(GlobalSeq(3)));
+        assert_eq!(a.last_heard.get(&Guid(7)), Some(&t));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   [`delivering`], [`mh`]);
 //! * reliability is local-scope and best-effort: per-hop NACK/ACK with a
 //!   bounded retry budget; a message whose budget is exhausted is "really
-//!   lost" and skipped consistently ([`retransmit`], [`mq`]);
+//!   lost" and skipped consistently ([`retransmit`], [`mq`]); the leaves
+//!   (walkers and leaf APs) ack from their data path and run the hop tick
+//!   only while a gap or a stall needs it ([`upkeep`]);
 //! * token loss and multiple-token hazards are repaired from the per-node
 //!   token snapshots ([`recovery`]);
 //! * membership, liveness, ring repair and leader failover are provided by
@@ -92,6 +94,7 @@ pub mod ring_epoch;
 pub mod ring_lifecycle;
 pub mod telemetry;
 pub mod token;
+pub mod upkeep;
 pub mod wq;
 pub mod wt;
 

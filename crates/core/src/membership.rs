@@ -6,7 +6,11 @@
 //!
 //! * **Liveness**: heartbeats to the next ring node and to the parent, with
 //!   a miss budget; children and attached MHs are tracked by last-heard
-//!   times (their ACKs and heartbeats refresh them).
+//!   times (their ACKs and heartbeats refresh them). A walker's ACK stream
+//!   is its liveness signal; it probes with a heartbeat only when its
+//!   uplink was otherwise quiet for a period, and the AP does not answer
+//!   walker heartbeats. A walker the AP does not know is asked to
+//!   re-register, whether it acks or probes.
 //! * **Ring repair**: a dead next node is bypassed using the statically
 //!   configured cycle (Remark 2), the failure is broadcast to the remaining
 //!   ring members, and — on the top ring — a Token-Loss message is handed
@@ -30,8 +34,9 @@ use crate::msg::Msg;
 use crate::node::NeState;
 
 impl NeState {
-    /// Answer a liveness probe; refresh the prober's last-heard time when it
-    /// is one of ours.
+    /// Answer a network entity's liveness probe; refresh the prober's
+    /// last-heard time when it is one of ours. A walker's probe gets no
+    /// answer (the walker has no use for one) unless we do not know it.
     pub(crate) fn on_heartbeat(&mut self, now: SimTime, from: Endpoint, out: &mut Outbox) {
         let group = self.group;
         match from {
@@ -40,26 +45,21 @@ impl NeState {
                     self.children.insert(n, now);
                 }
                 out.push(Action::to_ne(n, Msg::HeartbeatAck { group }));
+                self.counters.control_sent += 1;
             }
             Endpoint::Mh(g) => {
-                let mut known = false;
-                if let Some(ap) = self.ap.as_mut() {
-                    if ap.wt.progress(g).is_some() {
-                        ap.last_heard.insert(g, now);
-                        known = true;
-                    }
-                }
-                if !known && self.ap.is_some() {
+                let Some(ap) = self.ap.as_mut() else { return };
+                if ap.wt.progress(g).is_some() {
+                    ap.last_heard.insert(g, now);
+                } else {
                     // An MH we do not know keeps probing us: our WT entry is
                     // gone (crash-restart amnesia) or its registration was
                     // lost on the wireless hop. Ask it to register again.
                     out.push(Action::to_mh(g, Msg::ReRegister { group }));
                     self.counters.control_sent += 1;
                 }
-                out.push(Action::to_mh(g, Msg::HeartbeatAck { group }));
             }
         }
-        self.counters.control_sent += 1;
     }
 
     /// A probe we sent was answered.
@@ -242,6 +242,12 @@ impl NeState {
 
         // --- self-detected token quiet (staggered fallback) ---------------
         self.token_quiet_fallback(now, out);
+
+        // --- leaf AP: progress not acked yet, and GC behind the walkers ---
+        if self.is_leaf() {
+            self.ack_progress(now, out);
+            self.collect_garbage();
+        }
     }
 
     /// Re-aim an unacknowledged token transfer after a ring repair. When
@@ -403,9 +409,12 @@ impl NeState {
                 .map(|(&g, _)| g)
                 .collect();
             for g in stale_mhs {
-                ap.wt.remove(g);
                 ap.last_heard.remove(&g);
-                departed += 1;
+                // Only a registered member counted as arrived, so only
+                // one departs.
+                if ap.wt.remove(g).is_some() {
+                    departed += 1;
+                }
             }
         }
         if departed > 0 {
@@ -762,6 +771,57 @@ mod tests {
         n.tick_heartbeat(SimTime::from_secs(10), &mut out);
         assert_eq!(n.subtree_members, 0);
         assert!(n.ap.as_ref().unwrap().wt.is_empty());
+    }
+
+    #[test]
+    fn only_registered_mhs_count_as_departures() {
+        let mut n = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        let mut out = Vec::new();
+        n.on_join(SimTime::ZERO, Guid(1), &mut out);
+        // A last-heard entry without a WT entry: an MH that never
+        // registered here.
+        n.ap.as_mut()
+            .unwrap()
+            .last_heard
+            .insert(Guid(2), SimTime::ZERO);
+        assert_eq!(n.subtree_members, 1);
+        n.tick_heartbeat(SimTime::from_secs(10), &mut out);
+        assert_eq!(n.subtree_members, 0, "one member arrived, one departed");
+        assert!(n.ap.as_ref().unwrap().last_heard.is_empty());
+    }
+
+    #[test]
+    fn mh_heartbeats_get_no_answer_unless_unknown() {
+        let mut n = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        let mut out = Vec::new();
+        n.on_join(SimTime::ZERO, Guid(1), &mut out);
+        out.clear();
+        let t = SimTime::from_millis(30);
+        n.on_heartbeat(t, Endpoint::Mh(Guid(1)), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(n.ap.as_ref().unwrap().last_heard.get(&Guid(1)), Some(&t));
+        n.on_heartbeat(t, Endpoint::Mh(Guid(2)), &mut out);
+        assert!(matches!(
+            out[..],
+            [Action::Send {
+                to: Endpoint::Mh(Guid(2)),
+                msg: Msg::ReRegister { .. }
+            }]
+        ));
     }
 
     #[test]

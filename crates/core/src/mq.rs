@@ -124,6 +124,12 @@ impl MessageQueue {
         self.front
     }
 
+    /// True while a received message waits behind a missing one
+    /// (`Rear` is ahead of `Front`): the gap the hop tick chases.
+    pub fn has_gap(&self) -> bool {
+        self.rear > self.front
+    }
+
     /// `ValidFront`: the oldest sequence number still retained.
     pub fn valid_front(&self) -> GlobalSeq {
         self.base

@@ -309,8 +309,9 @@ pub struct NeState {
     pub pending_delta: i64,
     /// Aggregated member count of this entity's subtree.
     pub subtree_members: i64,
-    /// Hop-tick counter (drives the `ack_every` divisor).
-    pub hop_tick_count: u64,
+    /// Ack pacing for every tier; stall detection for leaf APs, whose hop
+    /// tick is demand-driven (see [`crate::upkeep`]).
+    pub upkeep: crate::upkeep::HopUpkeep,
     /// Statistics counters.
     pub counters: NeCounters,
     /// Crash-stop flag: a dead entity ignores everything.
@@ -383,7 +384,7 @@ impl NeState {
             ap: None,
             pending_delta: 0,
             subtree_members: 0,
-            hop_tick_count: 0,
+            upkeep: Default::default(),
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -423,7 +424,7 @@ impl NeState {
             ap: None,
             pending_delta: 0,
             subtree_members: 0,
-            hop_tick_count: 0,
+            upkeep: Default::default(),
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -479,7 +480,7 @@ impl NeState {
             ap: Some(ApMhState::new(always_active, neighbours)),
             pending_delta: 0,
             subtree_members: 0,
-            hop_tick_count: 0,
+            upkeep: Default::default(),
             counters: NeCounters::default(),
             alive: true,
             resync_on_graft: false,
@@ -493,6 +494,23 @@ impl NeState {
             telemetry: Telemetry::from_cfg(&cfg),
             cfg,
         }
+    }
+
+    /// True for a leaf AP (no ring): its hop tick is demand-driven, armed
+    /// only while [`NeState::needs_hop_tick`] holds. Ring members tick on
+    /// every grid point.
+    pub fn is_leaf(&self) -> bool {
+        self.ring.is_none()
+    }
+
+    /// Whether a leaf AP needs its hop tick at `now`: its `MQ` has a gap,
+    /// or it is grafted and its stream from the parent has stalled (see
+    /// [`crate::upkeep`]). A pruned AP expects no stream and never stalls.
+    pub fn needs_hop_tick(&self, now: SimTime) -> bool {
+        self.alive
+            && (self.mq.has_gap()
+                || (self.ap.as_ref().is_some_and(|a| a.grafted)
+                    && self.upkeep.stalled(now, self.cfg.ack_period())))
     }
 
     /// True when this entity sits on the top (ordering) logical ring.
@@ -596,7 +614,7 @@ impl NeState {
                 epoch, rotation, ..
             } => self.on_token_ack(from, epoch, rotation),
             Msg::Data { gsn, data, .. } => self.on_data(now, from, gsn, data, out),
-            Msg::DataAck { upto, .. } => self.on_data_ack(now, from, upto),
+            Msg::DataAck { upto, .. } => self.on_data_ack(now, from, upto, out),
             Msg::DataNack { missing, .. } => self.on_data_nack(from, &missing, out),
             Msg::Heartbeat { .. } => self.on_heartbeat(now, from, out),
             Msg::HeartbeatAck { .. } => self.on_heartbeat_ack(now, from, out),
@@ -692,6 +710,7 @@ impl NeState {
         self.pending_delta = 0;
         self.subtree_members = 0;
         self.resync_on_graft = true;
+        self.upkeep = Default::default();
         self.pending_rejoins.clear();
         self.merge_probe_target = 0;
         if let Some(ap) = self.ap.as_mut() {

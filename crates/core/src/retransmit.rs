@@ -1,14 +1,18 @@
-//! The local-scope retransmission scheme (§4.2.3) — the periodic hop tick.
+//! The local-scope retransmission scheme (§4.2.3) — the hop tick.
 //!
 //! The paper implements reliability *within each local scope* (ring link,
-//! parent→child link, AP→MH wireless link) in a best-effort way. Every
-//! entity runs this tick every `hop_tick`:
+//! parent→child link, AP→MH wireless link) in a best-effort way. Ring
+//! members (BRs, AGs) run this tick on every point of their `hop_tick`
+//! grid; a leaf AP runs it on its grid only while its stream has a gap or
+//! has stalled, and otherwise acks from its data path
+//! ([`NeState::ack_progress`], see [`crate::upkeep`]). One tick:
 //!
 //! 1. NACK missing `MQ` messages to the upstream hop; slots whose budget is
 //!    exhausted become *really lost* and the front skips them.
 //! 2. NACK missing `WQ` entries (top ring) to the previous ring node.
-//! 3. Every `ack_every` ticks, send cumulative ACKs upstream (and to the
-//!    previous ring node, whose garbage collection depends on them).
+//! 3. Once per ack period (`ack_every × hop_tick`), send cumulative ACKs
+//!    upstream (and to the previous ring node, whose garbage collection
+//!    depends on them).
 //! 4. Retry an unacknowledged ordering-token transfer; give up after the
 //!    budget (the Token-Loss machinery then takes over).
 //! 5. Garbage-collect `MQ`/`WQ` up to the collective progress watermark.
@@ -26,7 +30,6 @@ impl NeState {
         if !self.alive {
             return;
         }
-        self.hop_tick_count += 1;
         let group = self.group;
 
         // (1) MQ gap chasing.
@@ -80,12 +83,10 @@ impl NeState {
             }
         }
 
-        // (3) Periodic cumulative ACKs.
-        if self
-            .hop_tick_count
-            .is_multiple_of(self.cfg.ack_every as u64)
-        {
+        // (3) Cumulative ACKs, once per ack period.
+        if self.upkeep.ack_due(now, self.cfg.ack_period()) {
             let front = self.mq.front();
+            self.upkeep.note_ack(now, front);
             // At most two ack targets: upstream, plus — for ring members —
             // the previous node, so its retention window can advance even
             // when their own upstream is a parent (non-top ring leaders).
@@ -127,6 +128,31 @@ impl NeState {
         self.token_maintenance(now, out);
 
         // (5) Garbage collection.
+        self.collect_garbage();
+    }
+
+    /// The data-path ACK of a leaf AP whose stream is flowing: report the
+    /// front to the parent when it moved and a whole ack period passed
+    /// since the last ACK, then collect garbage. Also run from the
+    /// heartbeat tick, so progress at the tail of a burst is reported.
+    pub(crate) fn ack_progress(&mut self, now: SimTime, out: &mut Outbox) {
+        let front = self.mq.front();
+        if !self
+            .upkeep
+            .progress_ack_due(now, front, self.cfg.ack_period())
+        {
+            return;
+        }
+        let Some(up) = self.upstream() else { return };
+        self.upkeep.note_ack(now, front);
+        out.push(Action::to_ne(
+            up,
+            Msg::DataAck {
+                group: self.group,
+                upto: front,
+            },
+        ));
+        self.counters.control_sent += 1;
         self.collect_garbage();
     }
 
@@ -194,7 +220,7 @@ impl NeState {
     }
 
     /// Advance `ValidFront` up to the collective downstream progress.
-    fn collect_garbage(&mut self) {
+    pub(crate) fn collect_garbage(&mut self) {
         let mut watermark = self.mq.front();
         if let Some(min) = self.wt_children.min_progress() {
             watermark = watermark.min(min);
@@ -279,6 +305,18 @@ mod tests {
         assert_eq!(nacks[0].1, vec![GlobalSeq(1), GlobalSeq(2)]);
     }
 
+    fn acks_to(out: &Outbox) -> Vec<(NodeId, GlobalSeq)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to: Endpoint::Ne(t),
+                    msg: Msg::DataAck { upto, .. },
+                } => Some((*t, *upto)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn acks_flow_upstream_on_schedule() {
         let mut n = ag20();
@@ -290,29 +328,111 @@ mod tests {
             data(1),
             &mut out,
         );
+        assert!(acks_to(&out).is_empty(), "ring members ack from the tick");
+        // One ack per ack period (2 ticks): the first tick acks, the next
+        // one inside the period does not, the one after does.
+        let mut per_tick = Vec::new();
+        for k in 1..=4u64 {
+            out.clear();
+            n.tick_hop(SimTime::from_millis(5 * k), &mut out);
+            per_tick.push(acks_to(&out));
+        }
+        let one = vec![(NodeId(10), GlobalSeq(1))];
+        assert_eq!(per_tick, vec![one.clone(), vec![], one, vec![]]);
+    }
+
+    /// A leaf AP grafted under AG 20.
+    fn leaf_ap() -> NeState {
+        let mut ap = NeState::new_ap(
+            G,
+            NodeId(99),
+            vec![NodeId(20)],
+            true,
+            vec![],
+            ProtocolConfig::default(),
+        );
+        ap.parent = Some(NodeId(20));
+        ap.ap.as_mut().unwrap().grafted = true;
+        ap
+    }
+
+    #[test]
+    fn quiescent_leaf_ap_schedules_no_hop_tick() {
+        let mut ap = leaf_ap();
+        // Grafted, no stream yet.
+        assert!(!ap.needs_hop_tick(SimTime::from_millis(500)));
+        // A steady in-order stream: acked from the data path, once per
+        // ack period, and no tick needed between arrivals.
+        let mut out = Vec::new();
+        let mut sent = Vec::new();
+        for g in 1..=20u64 {
+            let t = SimTime::from_millis(3 * g);
+            out.clear();
+            ap.on_data(t, Endpoint::Ne(NodeId(20)), GlobalSeq(g), data(g), &mut out);
+            assert!(!ap.needs_hop_tick(t));
+            assert!(!ap.needs_hop_tick(t + SimDuration::from_millis(2)));
+            sent.extend(acks_to(&out).into_iter().map(|(to, upto)| (g, to, upto.0)));
+        }
+        let up = NodeId(20);
+        assert_eq!(
+            sent,
+            vec![
+                (1, up, 1),
+                (5, up, 5),
+                (9, up, 9),
+                (13, up, 13),
+                (17, up, 17)
+            ]
+        );
+        // A pruned AP expects no stream, so it never stalls.
+        ap.ap.as_mut().unwrap().grafted = false;
+        assert!(!ap.needs_hop_tick(SimTime::from_secs(5)));
+    }
+
+    #[test]
+    fn leaf_ap_ticks_while_gap_or_stall() {
+        let mut ap = leaf_ap();
+        let mut out = Vec::new();
+        ap.on_data(
+            SimTime::from_millis(1),
+            Endpoint::Ne(NodeId(20)),
+            GlobalSeq(1),
+            data(1),
+            &mut out,
+        );
+        ap.on_data(
+            SimTime::from_millis(2),
+            Endpoint::Ne(NodeId(20)),
+            GlobalSeq(3),
+            data(3),
+            &mut out,
+        );
+        assert!(ap.needs_hop_tick(SimTime::from_millis(2)), "gap");
         out.clear();
-        // ack_every = 2 → first tick: no ack, second tick: ack.
-        n.tick_hop(SimTime::from_millis(5), &mut out);
-        assert!(!out.iter().any(|a| matches!(
+        ap.tick_hop(SimTime::from_millis(5), &mut out);
+        assert!(out.iter().any(|a| matches!(
             a,
             Action::Send {
-                msg: Msg::DataAck { .. },
-                ..
+                to: Endpoint::Ne(NodeId(20)),
+                msg: Msg::DataNack { .. }
             }
         )));
+        ap.on_data(
+            SimTime::from_millis(6),
+            Endpoint::Ne(NodeId(20)),
+            GlobalSeq(2),
+            data(2),
+            &mut out,
+        );
+        assert!(!ap.needs_hop_tick(SimTime::from_millis(6)), "filled");
+        // No data for an ack period: the stream stalled, the tick acks on
+        // the grid whether or not the front moved.
+        let stall = SimTime::from_millis(16);
+        assert!(ap.needs_hop_tick(stall));
         out.clear();
-        n.tick_hop(SimTime::from_millis(10), &mut out);
-        let acks: Vec<_> = out
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send {
-                    to: Endpoint::Ne(t),
-                    msg: Msg::DataAck { upto, .. },
-                } => Some((*t, *upto)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acks, vec![(NodeId(10), GlobalSeq(1))]);
+        ap.tick_hop(SimTime::from_millis(20), &mut out);
+        ap.tick_hop(SimTime::from_millis(30), &mut out);
+        assert_eq!(acks_to(&out), vec![(NodeId(20), GlobalSeq(3)); 2]);
     }
 
     #[test]
@@ -444,7 +564,12 @@ mod tests {
         n.children.insert(NodeId(99), SimTime::ZERO);
         n.wt_children.register(NodeId(99), GlobalSeq(1));
         // Ring next acked everything.
-        n.on_data_ack(SimTime::ZERO, Endpoint::Ne(NodeId(30)), GlobalSeq(4));
+        n.on_data_ack(
+            SimTime::ZERO,
+            Endpoint::Ne(NodeId(30)),
+            GlobalSeq(4),
+            &mut out,
+        );
         n.tick_hop(SimTime::from_millis(5), &mut out);
         assert!(
             n.mq.get(GlobalSeq(1)).is_some(),
@@ -455,6 +580,7 @@ mod tests {
             SimTime::from_millis(6),
             Endpoint::Ne(NodeId(99)),
             GlobalSeq(4),
+            &mut out,
         );
         n.tick_hop(SimTime::from_millis(10), &mut out);
         assert!(n.mq.get(GlobalSeq(2)).is_none());

@@ -92,12 +92,12 @@ fn digest_is_sensitive_to_protocol_behaviour() {
 /// by `crates/core/tests/telemetry_determinism.rs`). The contract is
 /// byte-identity per `(seed, shard count)`, exactly as recorded here.
 const GOLDEN_RINGNET_DIGESTS: &[(u64, usize, u64)] = &[
-    (3, 1, 0xe4ff35a26108900b),
-    (3, 2, 0x08fa27c3d642e6cd),
-    (3, 4, 0xac198b4fc327e74f),
-    (7, 1, 0xe4ff35a26108900b),
-    (7, 2, 0x08fa27c3d642e6cd),
-    (7, 4, 0xac198b4fc327e74f),
+    (3, 1, 0xb1c22c58d61c45d5),
+    (3, 2, 0x980f854c5df258db),
+    (3, 4, 0xa25f34069766270d),
+    (7, 1, 0xb1c22c58d61c45d5),
+    (7, 2, 0x980f854c5df258db),
+    (7, 4, 0xa25f34069766270d),
 ];
 
 #[test]
